@@ -129,17 +129,22 @@ def _analyze_one(path_str: str) -> DocumentSummary:
 
 
 def _pool_map(worker, items: Sequence[str], jobs: int) -> list:
-    """Order-preserving map over a spawn-based process pool."""
+    """Order-preserving map over a spawn-based process pool.
+
+    Items go to workers in batches, about eight per worker: one small
+    document costs far less to parse than one pool round trip.
+    """
     if jobs <= 1 or len(items) <= 1:
         return [worker(item) for item in items]
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("spawn")
+    chunksize = max(1, len(items) // (jobs * 8))
     with ProcessPoolExecutor(
         max_workers=jobs, mp_context=context
     ) as executor:
-        return list(executor.map(worker, items))
+        return list(executor.map(worker, items, chunksize=chunksize))
 
 
 def verify_paths(

@@ -2,14 +2,25 @@
 
 Real deployments of ``chrome --log-net-log`` produce multi-gigabyte
 documents (the paper's study parsed 11 TB of telemetry).  ``json.load``
-needs the whole document in memory; this module walks the ``events``
-array incrementally, yielding one event at a time with bounded memory.
+needs the whole document in memory; this module walks the top-level
+object key by key and the ``events`` array record by record, yielding
+one event at a time.  Memory is bounded by one input chunk plus the
+largest single value.
 
-The scanner is a small hand-rolled JSON tokenizer specialised to the
-NetLog layout: a top-level object whose ``events`` key holds an array of
-objects.  Individual event objects are still decoded with the stdlib
-``json`` module, so value semantics are identical to the whole-document
-parser.
+Every JSON value — an object key, the ``constants`` block, each
+``events`` record, the ``integrity`` trailer, a skipped top-level value
+— is decoded by the stdlib's C scanner (``json.JSONDecoder.raw_decode``)
+straight out of the chunk buffer, so value semantics are identical to
+the whole-document parser.  Python only looks at the punctuation
+between values.  The buffer is refilled only when a value runs past its
+end; a value longer than one chunk is gathered chunk by chunk and joined
+once.
+
+A value the C decoder rejects takes the fallback: a string-aware bracket
+scan finds where the value ends.  That scan is what tells the two kinds
+of damage apart.  A value that closes but does not decode (in-place
+corruption) is dropped and the walk goes on after it; a value that never
+closes (the input was cut inside it) is truncation.
 
 Damage tolerance: a NetLog from a killed browser ends mid-stream — no
 closing ``]}``, sometimes a half-written record, sometimes a NUL-padded
@@ -22,6 +33,7 @@ walker yields every event up to the damage point and stops, recording
 from __future__ import annotations
 
 import json
+import re
 from typing import IO, Iterator
 
 from .constants import EventType
@@ -36,14 +48,27 @@ from .parser import (
 
 _CHUNK_SIZE = 64 * 1024
 
+_raw_decode = json.JSONDecoder().raw_decode
+_WHITESPACE = re.compile(r"[ \t\r\n]*")
+#: The characters the fallback scan stops at: outside a string for each
+#: bracket kind, and inside a string.
+_OBJECT_MARKS = re.compile(r'["{}]')
+_ARRAY_MARKS = re.compile(r'["[\]]')
+_STRING_MARKS = re.compile(r'["\\]')
+#: Where a skipped scalar ends: the enclosing structure's next delimiter.
+_SCALAR_END = re.compile(r"[,}\]]")
+
 
 class _Scanner:
-    """Incremental reader with pushback over a text stream.
+    """Cursor over a bounded chunk buffer of a text stream.
 
-    A NUL byte is treated as (sticky) end of input: real truncated
+    A NUL character is treated as (sticky) end of input: real truncated
     NetLogs are often padded with NULs up to a block boundary, and no
-    valid JSON contains a raw NUL outside an escape sequence.
+    valid JSON contains a raw NUL outside an escape sequence.  A chunk is
+    cut at its first NUL and nothing after it is ever read.
     """
+
+    __slots__ = ("_fp", "_buffer", "_position", "_eof")
 
     def __init__(self, fp: IO[str]) -> None:
         self._fp = fp
@@ -51,122 +76,138 @@ class _Scanner:
         self._position = 0
         self._eof = False
 
-    def read_char(self) -> str:
-        """Next character, or '' at EOF (or at a NUL — see class doc)."""
+    def _read_chunk(self) -> str:
+        """The next chunk of input, or '' once input has ended."""
         if self._eof:
             return ""
-        if self._position >= len(self._buffer):
-            self._buffer = self._fp.read(_CHUNK_SIZE)
-            self._position = 0
-            if not self._buffer:
-                self._eof = True
-                return ""
-        ch = self._buffer[self._position]
-        self._position += 1
-        if ch == "\x00":
+        chunk = self._fp.read(_CHUNK_SIZE)
+        nul = chunk.find("\x00")
+        if nul >= 0:
+            chunk = chunk[:nul]
             self._eof = True
-            return ""
-        return ch
-
-    def push_back(self, ch: str) -> None:
-        """Return one just-read character to the stream."""
-        if not ch:
-            return
-        self._buffer = ch + self._buffer[self._position :]
-        self._position = 0
+        elif not chunk:
+            self._eof = True
+        return chunk
 
     def read_nonspace(self) -> str:
-        ch = self.read_char()
-        while ch and ch in " \t\r\n":
-            ch = self.read_char()
-        return ch
+        """Consume the next non-whitespace character; '' at end of input."""
+        while True:
+            position = _WHITESPACE.match(self._buffer, self._position).end()
+            if position < len(self._buffer):
+                self._position = position + 1
+                return self._buffer[position]
+            self._buffer = self._read_chunk()
+            self._position = 0
+            if not self._buffer:
+                return ""
 
+    def push_back(self) -> None:
+        """Return the character :meth:`read_nonspace` just consumed."""
+        self._position -= 1
 
-def _read_string(scanner: _Scanner) -> str:
-    """Read a JSON string body (opening quote already consumed)."""
-    parts: list[str] = []
-    while True:
-        ch = scanner.read_char()
-        if not ch:
-            raise NetLogTruncationError("unterminated string")
-        if ch == "\\":
-            escaped = scanner.read_char()
-            if not escaped:
-                raise NetLogTruncationError("unterminated escape")
-            parts.append(ch + escaped)
-            continue
-        if ch == '"':
-            return json.loads('"' + "".join(parts) + '"')
-        parts.append(ch)
+    def decode(self) -> object:
+        """Decode the value under the cursor and move past it.
 
+        Raises :class:`json.JSONDecodeError`, with the cursor already
+        past the value, when the value closes but is not valid JSON, and
+        :class:`NetLogTruncationError` when input ends inside it.
+        """
+        try:
+            value, self._position = _raw_decode(self._buffer, self._position)
+        except json.JSONDecodeError:
+            start, end = self._extent()
+            self._position = end
+            try:
+                value = _raw_decode(self._buffer, start)[0]
+            except json.JSONDecodeError:
+                # Undecodable: raise what decoding the value alone raises.
+                value = json.loads(self._buffer[start:end])
+        return value
 
-def _read_balanced_object(scanner: _Scanner) -> str:
-    """Read one {...} object as raw text (opening brace consumed)."""
-    depth = 1
-    parts: list[str] = ["{"]
-    in_string = False
-    while depth:
-        ch = scanner.read_char()
-        if not ch:
-            raise NetLogTruncationError("unterminated object")
-        parts.append(ch)
-        if in_string:
-            if ch == "\\":
-                follow = scanner.read_char()
-                if not follow:
-                    raise NetLogTruncationError("unterminated escape")
-                parts.append(follow)
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-    return "".join(parts)
+    def skip(self, first: str) -> None:
+        """Move past the value whose first character was just consumed."""
+        if first == '"':
+            # A skipped string is still decoded: a bad escape raises.
+            self.push_back()
+            self.decode()
+        elif first in "{[":
+            self.push_back()
+            try:
+                self._position = _raw_decode(self._buffer, self._position)[1]
+            except json.JSONDecodeError:
+                self._position = self._extent()[1]
+        else:
+            self._skip_scalar()
 
+    def _skip_scalar(self) -> None:
+        """Consume up to the next delimiter, tolerating any garbage.
 
-def _skip_value(scanner: _Scanner, first: str) -> None:
-    """Skip one JSON value whose first character is ``first``."""
-    if first == '"':
-        _read_string(scanner)
-        return
-    if first == "{":
-        _read_balanced_object(scanner)
-        return
-    if first == "[":
-        depth = 1
-        in_string = False
-        while depth:
-            ch = scanner.read_char()
-            if not ch:
-                raise NetLogTruncationError("unterminated array")
-            if in_string:
-                if ch == "\\":
-                    scanner.read_char()
-                elif ch == '"':
-                    in_string = False
+        A comma is consumed, but a closing brace or bracket belongs to
+        the enclosing structure and stays, so ``{"key": 1}`` still
+        reaches the missing-events check instead of reading as truncated.
+        """
+        while True:
+            match = _SCALAR_END.search(self._buffer, self._position)
+            if match is not None:
+                self._position = (
+                    match.end() if match.group() == "," else match.start()
+                )
+                return
+            self._buffer = self._read_chunk()
+            self._position = 0
+            if not self._buffer:
+                return
+
+    def _extent(self) -> tuple[int, int]:
+        """Where the value under the cursor starts and ends in the buffer.
+
+        The fallback for a value the C decoder rejects: a string-aware
+        scan for its closing quote or bracket.  When the value runs past
+        the buffer, later chunks are gathered until it closes and joined
+        once, so the buffer is rebuilt to start at the value.
+        """
+        buffer = self._buffer
+        start = self._position
+        opener = buffer[start]
+        marks, closer = (
+            (_ARRAY_MARKS, "]") if opener == "[" else (_OBJECT_MARKS, "}")
+        )
+        in_string = opener == '"'
+        depth = 0 if in_string else 1
+        text = buffer
+        index = start + 1
+        pieces: list[str] = []
+        while True:
+            match = (_STRING_MARKS if in_string else marks).search(text, index)
+            if match is None:
+                # ``index`` may sit one past the end: an escape's
+                # character is the next chunk's first.
+                index = max(index - len(text), 0)
+                text = self._read_chunk()
+                if not text:
+                    raise NetLogTruncationError("unterminated value")
+                pieces.append(text)
                 continue
-            if ch == '"':
-                in_string = True
-            elif ch == "[":
-                depth += 1
-            elif ch == "]":
+            mark = match.group()
+            index = match.end()
+            if mark == "\\":
+                index += 1
+            elif mark == '"':
+                in_string = not in_string
+                if not in_string and not depth:
+                    break
+            elif mark == closer:
                 depth -= 1
-        return
-    # Scalar: consume until a delimiter.  A comma is the caller's to
-    # tolerate, but a closing brace/bracket belongs to the enclosing
-    # structure — push it back so `{"key": 1}` still reaches the
-    # missing-events check instead of reading as truncated.
-    while True:
-        ch = scanner.read_char()
-        if not ch or ch == ",":
-            return
-        if ch in "}]":
-            scanner.push_back(ch)
-            return
+                if not depth:
+                    break
+            else:
+                depth += 1
+        if not pieces:
+            return start, index
+        head = buffer[start:]
+        end = len(head) + sum(map(len, pieces[:-1])) + index
+        self._buffer = "".join([head, *pieces])
+        return 0, end
 
 
 def iter_events_streaming(
@@ -181,11 +222,11 @@ def iter_events_streaming(
     Accepts document text, document bytes, or a file object of either;
     the format is sniffed from the first byte.  Binary (``nlbin-v1``)
     documents take the zero-copy frame scanner in
-    :mod:`repro.netlog.binary`; JSON documents take the incremental
-    tokenizer below, which reads the top-level object key by key — the
+    :mod:`repro.netlog.binary`; JSON documents take the chunked walk
+    below, which reads the top-level object key by key — the
     ``constants`` block is decoded (for the event-type name table), every
-    other non-``events`` key is skipped without materialisation, and the
-    ``events`` array is walked object by object.
+    other non-``events`` key is skipped, and the ``events`` array is
+    walked record by record, each value decoded by the C JSON decoder.
 
     Unknown event types are skipped when ``strict`` is False (the
     default here, unlike the whole-document parser, because real Chrome
@@ -257,7 +298,8 @@ def _iter_document(
             if not ch:
                 raise NetLogTruncationError("document ended before '}'")
             raise NetLogParseError(f"expected object key, got {ch!r}")
-        key = _read_string(scanner)
+        scanner.push_back()
+        key = scanner.decode()
         colon = scanner.read_nonspace()
         if colon != ":":
             if not colon:
@@ -267,9 +309,9 @@ def _iter_document(
         if not first:
             raise NetLogTruncationError("document ended before a value")
         if key == "constants" and first == "{":
-            raw = _read_balanced_object(scanner)
+            scanner.push_back()
             try:
-                constants = json.loads(raw)
+                constants = scanner.decode()
             except json.JSONDecodeError as exc:
                 if strict:
                     raise NetLogParseError(
@@ -283,14 +325,14 @@ def _iter_document(
                 scanner, event_names, strict, stats, verifier
             )
         elif key == "integrity" and first == "{":
-            raw = _read_balanced_object(scanner)
+            scanner.push_back()
             try:
-                trailer = json.loads(raw)
+                trailer = scanner.decode()
             except json.JSONDecodeError:
                 trailer = None
             verifier.check_trailer(trailer, strict=strict, stats=stats)
         else:
-            _skip_value(scanner, first)
+            scanner.skip(first)
 
 
 def _iter_array_events(
@@ -298,10 +340,8 @@ def _iter_array_events(
     event_names: dict[str, int],
     strict: bool,
     stats: ParseStats | None,
-    verifier: ChainVerifier | None = None,
+    verifier: ChainVerifier,
 ) -> Iterator[NetLogEvent]:
-    if verifier is None:
-        verifier = ChainVerifier()
     while True:
         ch = scanner.read_nonspace()
         if ch == "]":
@@ -312,16 +352,15 @@ def _iter_array_events(
             if not ch:
                 raise NetLogTruncationError("events array unterminated")
             raise NetLogParseError(f"expected event object, got {ch!r}")
+        scanner.push_back()
         try:
-            raw = _read_balanced_object(scanner)
+            record = scanner.decode()
         except NetLogTruncationError:
             # The cut fell inside this record: its prefix is unusable.
             if not strict and stats is not None:
                 stats.dropped_malformed += 1
                 verifier.mark_gap(stats)
             raise
-        try:
-            record = json.loads(raw)
         except json.JSONDecodeError as exc:
             if strict:
                 raise NetLogParseError(f"malformed event object: {exc}") from exc

@@ -2,12 +2,14 @@
 
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netlog import EventPhase, EventType, NetLogEvent, NetLogSource, SourceType, dumps, loads
+from repro.netlog import streaming
 from repro.netlog.parser import NetLogParseError, ParseStats
 from repro.netlog.streaming import count_event_types, iter_events_streaming
 
@@ -113,6 +115,25 @@ class TestStreamingParser:
         salvaged = list(iter_events_streaming(io.StringIO(text), stats=stats))
         assert len(salvaged) == 4
         assert stats.truncated
+
+    def test_record_larger_than_a_chunk_parses_in_linear_memory(self, tmp_path):
+        # One 4 MB params record read through 64 KB chunks: the record is
+        # gathered chunk by chunk and joined once, not re-concatenated
+        # on every refill or collected character by character.
+        assert streaming._CHUNK_SIZE == 64 * 1024
+        blob = "x" * (4 * 1024 * 1024)
+        path = tmp_path / "big.json"
+        path.write_text(dumps([_event(params={"blob": blob})], checksums=True))
+        size = path.stat().st_size
+        with open(path, encoding="utf-8") as fp:
+            tracemalloc.start()
+            try:
+                events = list(iter_events_streaming(fp))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert [event.params["blob"] for event in events] == [blob]
+        assert peak < 5 * size
 
     def test_count_event_types(self):
         events = [
