@@ -701,8 +701,20 @@ class CrawlFabric:
             self.report.dead_letters_merged += 1
 
     def _merge_archives(self, crawl: str) -> None:
+        """Give every shard document a name in the rollup archive.
+
+        A document is hard-linked, not copied: one ``link`` is far
+        cheaper than creating and filling a file.  Shard and rollup then
+        share the inode, which is safe because no path edits a document
+        in place (writes, repairs and fault seams all replace it through
+        a temp file and a rename).  Where linking fails (another
+        filesystem, no hard-link support, link limit) the document is
+        copied to a temp name and renamed, so a merge killed mid-copy
+        never leaves a partial document behind the ``exists`` skip.
+        """
         assert self.archive_root is not None
         destination = NetLogArchive(self.archive_root)
+        made = set()  # (crawl, os) directories already created
         for shard_id in range(self.config.shards):
             shard_dir = self._archive_dir(shard_id)
             if shard_dir is None or not os.path.isdir(shard_dir):
@@ -721,8 +733,15 @@ class CrawlFabric:
                 )
                 if target.exists():
                     continue  # checksummed duplicates are identical
-                target.parent.mkdir(parents=True, exist_ok=True)
-                shutil.copyfile(path, target)
+                if target.parent not in made:
+                    target.parent.mkdir(parents=True, exist_ok=True)
+                    made.add(target.parent)
+                try:
+                    os.link(path, target)
+                except OSError:
+                    tmp = target.with_name(target.name + ".tmp")
+                    shutil.copyfile(path, tmp)
+                    os.replace(tmp, target)
                 self.report.archive_docs_merged += 1
 
     # -- result assembly ---------------------------------------------------

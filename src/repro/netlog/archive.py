@@ -51,6 +51,12 @@ _ENCODE_SECONDS = obs.histogram(
     "bytes) by format",
     ("format",),
 )
+_WRITE_SECONDS = obs.histogram(
+    "repro_netlog_archive_write_seconds",
+    "NetLog document file write time (temp file write plus atomic "
+    "rename) by format",
+    ("format",),
+)
 
 #: The top-level key carrying visit metadata in archived documents.
 META_KEY = "visitMeta"
@@ -219,11 +225,17 @@ class NetLogArchive:
         path = self.path_for(crawl, os_name, domain, format=format_name)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(path.name + ".tmp")
+        if _WRITE_SECONDS.enabled:
+            started = time.perf_counter()
         if isinstance(document, bytes):
             tmp.write_bytes(document)
         else:
             tmp.write_text(document)
         tmp.replace(path)
+        if _WRITE_SECONDS.enabled:
+            _WRITE_SECONDS.observe(
+                time.perf_counter() - started, labels=(format_name,)
+            )
         base_name = path.name[: -len(codec.suffix)]
         for suffix in ARCHIVE_SUFFIXES:
             if suffix != codec.suffix:

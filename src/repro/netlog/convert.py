@@ -116,7 +116,7 @@ def to_json(source: "bytes | str | IO[str] | IO[bytes]") -> str:
         for key, value in extra.items():
             out.write(json.dumps(key))
             out.write(": ")
-            json.dump(value, out)
+            out.write(json.dumps(value))
             out.write(", ")
     constants = (header or {}).get("constants")
     if not isinstance(constants, dict):
@@ -127,16 +127,16 @@ def to_json(source: "bytes | str | IO[str] | IO[bytes]") -> str:
             origin if isinstance(origin, (int, float)) else 0.0
         )
     out.write('"constants": ')
-    json.dump(constants, out)
+    out.write(json.dumps(constants))
     out.write(', "events": [')
     for index, record in enumerate(records):
         if index:
             out.write(",\n")
-        json.dump(record, out)
+        out.write(json.dumps(record))
     out.write("]")
     if trailer is not None and trailer.keys() != {"events"}:
         out.write(', "integrity": ')
-        json.dump(trailer, out)
+        out.write(json.dumps(trailer))
     out.write("}")
     return out.getvalue()
 

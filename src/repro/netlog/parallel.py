@@ -59,19 +59,25 @@ def verify_document(path: str | Path) -> ParseStats:
 
     stats = ParseStats()
     raw = Path(path).read_bytes()
-    if sniff_format(raw) == FORMAT_BINARY:
-        from .binary import iter_events_binary
+    try:
+        if sniff_format(raw) == FORMAT_BINARY:
+            from .binary import iter_events_binary
 
-        for _ in iter_events_binary(
-            raw, strict=False, stats=stats, verify="full"
-        ):
-            pass
-        return stats
-    text = raw.decode("utf-8", errors="replace")
-    for _ in iter_events_streaming(
-        io.StringIO(text), strict=False, stats=stats
-    ):
-        pass
+            for _ in iter_events_binary(
+                raw, strict=False, stats=stats, verify="full"
+            ):
+                pass
+        else:
+            text = raw.decode("utf-8", errors="replace")
+            for _ in iter_events_streaming(
+                io.StringIO(text), strict=False, stats=stats
+            ):
+                pass
+    except NetLogParseError:
+        # Damage the salvage walk cannot step over (a mangled top-level
+        # key, say) loses the rest of the document: one malformed drop,
+        # so the audit reports the document instead of dying on it.
+        stats.dropped_malformed += 1
     return stats
 
 

@@ -57,6 +57,8 @@ _ARRAY_MARKS = re.compile(r'["[\]]')
 _STRING_MARKS = re.compile(r'["\\]')
 #: Where a skipped scalar ends: the enclosing structure's next delimiter.
 _SCALAR_END = re.compile(r"[,}\]]")
+#: First characters of the JSON values other than an object.
+_VALUE_STARTS = frozenset('"[-0123456789tfn')
 
 
 class _Scanner:
@@ -299,7 +301,10 @@ def _iter_document(
                 raise NetLogTruncationError("document ended before '}'")
             raise NetLogParseError(f"expected object key, got {ch!r}")
         scanner.push_back()
-        key = scanner.decode()
+        try:
+            key = scanner.decode()
+        except json.JSONDecodeError as exc:
+            raise NetLogParseError(f"malformed object key: {exc}") from exc
         colon = scanner.read_nonspace()
         if colon != ":":
             if not colon:
@@ -332,7 +337,10 @@ def _iter_document(
                 trailer = None
             verifier.check_trailer(trailer, strict=strict, stats=stats)
         else:
-            scanner.skip(first)
+            try:
+                scanner.skip(first)
+            except json.JSONDecodeError as exc:
+                raise NetLogParseError(f"malformed value: {exc}") from exc
 
 
 def _iter_array_events(
@@ -351,7 +359,19 @@ def _iter_array_events(
         if ch != "{":
             if not ch:
                 raise NetLogTruncationError("events array unterminated")
-            raise NetLogParseError(f"expected event object, got {ch!r}")
+            if strict or ch not in _VALUE_STARTS:
+                raise NetLogParseError(f"expected event object, got {ch!r}")
+            # A value that is not an object is one malformed record, as
+            # in the whole-document parser; a bad escape in it changes
+            # nothing, since it is dropped either way.
+            if stats is not None:
+                stats.dropped_malformed += 1
+            verifier.mark_gap(stats)
+            try:
+                scanner.skip(ch)
+            except json.JSONDecodeError:
+                pass
+            continue
         scanner.push_back()
         try:
             record = scanner.decode()

@@ -28,6 +28,7 @@ parse everywhere plain ones do.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import zlib
@@ -52,6 +53,12 @@ CHAIN_SEED = zlib.crc32(b"repro-netlog-chain-v1")
 #: Record fields that carry integrity metadata (excluded from hashing).
 INTEGRITY_FIELDS = ("crc", "chain")
 
+#: Renders the canonical form.  One shared instance: ``json.dumps`` with
+#: ``sort_keys``/``separators`` would build a new encoder on every call.
+_canonical_encode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":")
+).encode
+
 
 def canonical_record_bytes(record: dict) -> bytes:
     """The canonical byte form of a record that checksums are computed over.
@@ -65,9 +72,7 @@ def canonical_record_bytes(record: dict) -> bytes:
         for key, value in record.items()
         if key not in INTEGRITY_FIELDS
     }
-    return json.dumps(stripped, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
+    return _canonical_encode(stripped).encode("utf-8")
 
 
 def event_to_record(event: NetLogEvent) -> dict:
@@ -94,6 +99,15 @@ def build_constants(time_origin_ms: float = 0.0) -> dict:
     }
 
 
+@functools.lru_cache(maxsize=8, typed=True)
+def _constants_text(time_origin_ms: float) -> str:
+    """The encoded ``constants`` block: identical in every document.
+
+    ``typed`` keeps ``0`` and ``0.0`` apart: they encode differently.
+    """
+    return json.dumps(build_constants(time_origin_ms))
+
+
 def write_document_head(
     fp: IO[str],
     *,
@@ -110,10 +124,10 @@ def write_document_head(
         for key, value in extra.items():
             fp.write(json.dumps(key))
             fp.write(": ")
-            json.dump(value, fp)
+            fp.write(json.dumps(value))
             fp.write(", ")
     fp.write('"constants": ')
-    json.dump(build_constants(time_origin_ms), fp)
+    fp.write(_constants_text(time_origin_ms))
     fp.write(', "events": [')
 
 
@@ -124,13 +138,14 @@ def write_document_tail(
     fp.write("]")
     if checksums:
         fp.write(', "integrity": ')
-        json.dump(
-            {
-                "algorithm": CHECKSUM_ALGORITHM,
-                "events": count,
-                "chain": chain,
-            },
-            fp,
+        fp.write(
+            json.dumps(
+                {
+                    "algorithm": CHECKSUM_ALGORITHM,
+                    "events": count,
+                    "chain": chain,
+                }
+            )
         )
     fp.write("}")
 
@@ -156,13 +171,15 @@ class RecordWriter:
     def write(self, event: NetLogEvent) -> None:
         record = event_to_record(event)
         if self.checksums:
-            payload = canonical_record_bytes(record)
+            # The fresh record has no integrity fields yet, so it is
+            # encoded as is rather than through a stripped copy.
+            payload = _canonical_encode(record).encode("utf-8")
             record["crc"] = zlib.crc32(payload)
             self.chain = zlib.crc32(payload, self.chain)
             record["chain"] = self.chain
         if self.count:
             self.fp.write(",\n")
-        json.dump(record, self.fp)
+        self.fp.write(json.dumps(record))
         self.count += 1
 
 

@@ -617,7 +617,7 @@ def _reparse_row(
 ) -> bool:
     """Tier-1 repair: rebuild one visit row from its archived NetLog."""
     from ..core.detector import LocalTrafficDetector
-    from ..netlog.parser import ParseStats
+    from ..netlog.parser import NetLogParseError, ParseStats
 
     path = archive.path_for(crawl, os_name, domain)
     if not path.exists():
@@ -629,7 +629,12 @@ def _reparse_row(
     # Stream the archived document straight into a detection sink: flow
     # assembly runs as events parse, without materialising the event list.
     sink = LocalTrafficDetector().sink()
-    result = archive.stream_into(crawl, os_name, domain, sink, stats=stats)
+    try:
+        result = archive.stream_into(
+            crawl, os_name, domain, sink, stats=stats
+        )
+    except NetLogParseError:
+        return False  # unparseable: the next tier re-visits
     if result is None or not _archive_clean(stats):
         return False
     detection = result

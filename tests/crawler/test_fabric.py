@@ -9,11 +9,14 @@ to a serial single-process campaign.
 
 from __future__ import annotations
 
+import errno
 import os
+import shutil
 import signal
 import subprocess
 import sys
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -28,8 +31,9 @@ from repro.crawler.fabric import (
 )
 from repro.crawler.shard import PopulationSpec, subpopulation
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.netlog.archive import NetLogArchive
 from repro.storage.db import TelemetryStore
-from repro.storage.integrity import campaign_digest
+from repro.storage.integrity import campaign_digest, fsck
 
 CRAWL = "top2021"
 SCALE = 0.003  # 300 domains x 2 OSes = 600 visits per full run
@@ -296,6 +300,121 @@ def test_fabric_resume_completes_interrupted_run(spec, serial, tmp_path):
     assert outcome.report.rows_merged == len(domains) * len(
         population.oses
     )
+
+
+# -- archive merge -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def archived(spec, tmp_path_factory):
+    """One 2-shard run with a NetLog archive, shared read-only."""
+    root = tmp_path_factory.mktemp("archived")
+    fabric = CrawlFabric(
+        spec,
+        FabricConfig(shards=2, heartbeat_timeout_s=30.0),
+        workdir=str(root / "shards"),
+        archive_root=str(root / "netlogs"),
+    )
+    outcome = fabric.run()
+    return fabric, outcome
+
+
+def _tree(root) -> dict[str, bytes]:
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {
+        os.path.relpath(os.path.join(folder, name), root): Path(
+            folder, name
+        ).read_bytes()
+        for folder, _, names in os.walk(root)
+        for name in names
+    }
+
+
+def _shard_documents(fabric) -> dict[str, bytes]:
+    documents: dict[str, bytes] = {}
+    for shard_id in range(fabric.config.shards):
+        documents.update(_tree(fabric._archive_dir(shard_id)))
+    return documents
+
+
+def _remerge(fabric, archive_root):
+    """A fresh coordinator merging the same shard archives into a new root."""
+    rebuilt = CrawlFabric(
+        fabric.spec,
+        fabric.config,
+        workdir=fabric.workdir,
+        rollup_path=fabric.rollup_path,
+        archive_root=str(archive_root),
+    )
+    rebuilt._merge_archives(CRAWL)
+    return rebuilt
+
+
+def _refuse_link(source, target):
+    """``os.link`` across filesystems."""
+    raise OSError(errno.EXDEV, "cross-device link", str(target))
+
+
+def test_merged_archive_links_every_shard_document(archived):
+    fabric, outcome = archived
+    sources = _shard_documents(fabric)
+    rollup = _tree(fabric.archive_root)
+    assert rollup == sources
+    assert outcome.report.archive_docs_merged == len(rollup) > 0
+    for name in rollup:
+        assert os.stat(os.path.join(fabric.archive_root, name)).st_nlink == 2
+    with TelemetryStore(fabric.rollup_path) as store:
+        report = fsck(store, NetLogArchive(fabric.archive_root))
+    assert report.clean, report.findings
+
+
+def test_merge_copies_atomically_when_links_fail(
+    archived, tmp_path, monkeypatch
+):
+    fabric, _ = archived
+    monkeypatch.setattr(os, "link", _refuse_link)
+    rebuilt = _remerge(fabric, tmp_path / "netlogs")
+    copied = _tree(tmp_path / "netlogs")
+    assert copied == _tree(fabric.archive_root)
+    assert rebuilt.report.archive_docs_merged == len(copied)
+    assert not [name for name in copied if name.endswith(".tmp")]
+    for name in copied:
+        assert os.stat(tmp_path / "netlogs" / name).st_nlink == 1
+
+
+def test_copy_killed_midway_leaves_no_partial_document(
+    archived, tmp_path, monkeypatch
+):
+    fabric, _ = archived
+    root = tmp_path / "netlogs"
+
+    def torn(source, target):
+        Path(target).write_bytes(Path(source).read_bytes()[:100])
+        raise KeyboardInterrupt  # the coordinator dies mid-copy
+
+    monkeypatch.setattr(os, "link", _refuse_link)
+    monkeypatch.setattr(shutil, "copyfile", torn)
+    with pytest.raises(KeyboardInterrupt):
+        _remerge(fabric, root)
+    monkeypatch.undo()
+    _remerge(fabric, root)
+    merged = _tree(root)
+    # The torn temp file may remain; no reader lists ``.tmp`` names.
+    assert {
+        name: data for name, data in merged.items() if not name.endswith(".tmp")
+    } == _tree(fabric.archive_root)
+
+
+def test_remerge_restores_only_missing_documents(archived, tmp_path):
+    fabric, _ = archived
+    root = tmp_path / "netlogs"
+    _remerge(fabric, root)
+    names = sorted(_tree(root))
+    for name in names[::2]:
+        os.unlink(root / name)
+    rebuilt = _remerge(fabric, root)
+    assert rebuilt.report.archive_docs_merged == len(names[::2])
+    assert _tree(root) == _tree(fabric.archive_root)
 
 
 # -- signal drain end to end -------------------------------------------------

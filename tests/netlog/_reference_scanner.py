@@ -7,6 +7,14 @@ it with ``json.loads``.  It is slow but simple, and its salvage
 semantics (what is yielded, what every :class:`ParseStats` field ends up
 as, which exception ends the walk) are the specification the fast walk
 is checked against.  Test-only: nothing under ``src/`` imports it.
+
+Two deliberate changes since it was frozen, each made in step with the
+fast walk: a top-level key or skipped string that does not decode ends
+the walk with :class:`NetLogParseError` rather than a bare
+``json.JSONDecodeError`` (so ``fsck`` can report the document instead of
+dying on it), and in salvage mode a non-object value in ``events``
+counts as one dropped malformed record, as it does in the
+whole-document parser.
 """
 
 from __future__ import annotations
@@ -206,7 +214,10 @@ def _iter_document(
             if not ch:
                 raise NetLogTruncationError("document ended before '}'")
             raise NetLogParseError(f"expected object key, got {ch!r}")
-        key = _read_string(scanner)
+        try:
+            key = _read_string(scanner)
+        except json.JSONDecodeError as exc:
+            raise NetLogParseError(f"malformed object key: {exc}") from exc
         colon = scanner.read_nonspace()
         if colon != ":":
             if not colon:
@@ -239,7 +250,10 @@ def _iter_document(
                 trailer = None
             verifier.check_trailer(trailer, strict=strict, stats=stats)
         else:
-            _skip_value(scanner, first)
+            try:
+                _skip_value(scanner, first)
+            except json.JSONDecodeError as exc:
+                raise NetLogParseError(f"malformed value: {exc}") from exc
 
 
 def _iter_array_events(
@@ -260,7 +274,18 @@ def _iter_array_events(
         if ch != "{":
             if not ch:
                 raise NetLogTruncationError("events array unterminated")
-            raise NetLogParseError(f"expected event object, got {ch!r}")
+            if strict or ch not in '"[-0123456789tfn':
+                raise NetLogParseError(f"expected event object, got {ch!r}")
+            # A non-object value is one malformed record, as in the
+            # whole-document parser.
+            if stats is not None:
+                stats.dropped_malformed += 1
+            verifier.mark_gap(stats)
+            try:
+                _skip_value(scanner, ch)
+            except json.JSONDecodeError:
+                pass
+            continue
         try:
             raw = _read_balanced_object(scanner)
         except NetLogTruncationError:

@@ -19,13 +19,14 @@ import io
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.crawler.vm import OSEnvironment
-from repro.netlog import dumps, streaming
+from repro.netlog import dumps, loads, streaming
 from repro.netlog.codec import coerce_stream
-from repro.netlog.parser import ParseStats
+from repro.netlog.parser import NetLogParseError, ParseStats
 from repro.web.population import build_top_population
 
 from . import _reference_scanner as reference
@@ -241,6 +242,20 @@ class TestFixedCorpus:
                         document, strict=strict, require_events=require_events
                     )
 
+    def test_non_object_records(self):
+        for document in (
+            '{"events": [1]}',
+            '{"events": [1, "x", [2, {"a": "]"}], null, true, -3.5]}',
+            '{"events": ["bad \\q", {"time": 1, "type": 1, '
+            '"source": {"id": 1, "type": 1}}]}',
+            '{"events": [z]}',
+            '{"events": [1}',
+            '{"events": [[1, ',
+            '{"events": ["cut',
+        ):
+            for strict in (False, True):
+                assert_same_walk(document, strict=strict)
+
     def test_corpus_reaches_every_fallback(self):
         # The oracle only speaks for the fallback paths it exercises.
         calls = {"_extent": 0, "_skip_scalar": 0}
@@ -261,7 +276,56 @@ class TestFixedCorpus:
         ):
             self.test_clean_documents()
             self.test_shapes_that_end_the_walk_early()
+            self.test_non_object_records()
         assert all(calls.values()), calls
+
+
+def _with_events(document: str, *insertions) -> str:
+    """``document`` with values inserted into its ``events`` array."""
+    decoded = json.loads(document)
+    for index, value in insertions:
+        decoded["events"].insert(index, value)
+    return json.dumps(decoded)
+
+
+class TestBatchAgreement:
+    """Where the whole document decodes, salvage streaming ≡ batch."""
+
+    def test_non_object_records_drop_as_in_batch(self):
+        checksummed = _small_document()
+        for document in (
+            '{"events": [1]}',
+            '{"events": [1, "x", [2, {"a": "]"}], null, true, -3.5]}',
+            _with_events(checksummed, (2, 1)),
+            _with_events(checksummed, (0, "x"), (3, [{"time": 1}])),
+            _with_events(_small_document(checksums=False), (4, None)),
+        ):
+            batch_stats, stream_stats = ParseStats(), ParseStats()
+            batch = loads(document, strict=False, stats=batch_stats)
+            streamed = list(
+                streaming.iter_events_streaming(
+                    document, strict=False, stats=stream_stats
+                )
+            )
+            assert streamed == batch, document
+            assert stream_stats == batch_stats, document
+            assert stream_stats.dropped_malformed >= 1
+
+    def test_undecodable_key_or_string_is_a_parse_error(self):
+        for document in (
+            '{"ev\x01nts": []}',
+            '{"a\\q": 1, "events": []}',
+            '{"events": [], "note": "bad \\q escape"}',
+        ):
+            for strict in (False, True):
+                with pytest.raises(NetLogParseError):
+                    list(
+                        streaming.iter_events_streaming(
+                            document, strict=strict
+                        )
+                    )
+                with pytest.raises(NetLogParseError):
+                    loads(document, strict=strict)
 
 
 def _flip_bits(data: bytes, flips) -> bytes:

@@ -117,3 +117,27 @@ class TestDeclarationDiscipline:
             "repro_store_commit_seconds",
             "repro_fsck_repairs_total",
         } <= names
+
+
+class TestArchiveWriteTiming:
+    def test_each_document_write_is_observed_by_format(self, tmp_path):
+        from repro.netlog import NetLogArchive
+        from repro.netlog.constants import EventType, SourceType
+        from repro.netlog.events import NetLogEvent, NetLogSource
+
+        events = [
+            NetLogEvent(
+                time=1.0,
+                type=EventType.REQUEST_ALIVE,
+                source=NetLogSource(id=1, type=SourceType.URL_REQUEST),
+            )
+        ]
+        registry = obs.enable()
+        archive = NetLogArchive(tmp_path)
+        archive.write("c", "linux", "a.com", events)
+        archive.write("c", "linux", "b.com", events)
+        archive.write("c", "linux", "c.com", events, format="binary")
+        written = registry.get("repro_netlog_archive_write_seconds")
+        assert written.value(("json",)).count == 2
+        assert written.value(("binary",)).count == 1
+        assert written.value(("json",)).sum > 0

@@ -55,6 +55,17 @@ def _first_active_visit(store, crawl):
     ).fetchone()
 
 
+def _flip_events_key_quote(path):
+    """One bit flip turns the closing quote of ``"events"`` into ``\\x02``.
+
+    The key then runs on into the array and holds a control character,
+    so it no longer decodes.
+    """
+    raw = path.read_bytes()
+    position = raw.index(b'"events"') + len('"events')
+    path.write_bytes(raw[:position] + b"\x02" + raw[position + 1 :])
+
+
 class TestVisitDigest:
     def test_deterministic(self):
         kwargs = dict(
@@ -178,6 +189,15 @@ class TestFsckDetection:
             docs[1].stem
         ]
 
+    def test_undecodable_events_key_is_a_finding(self, damaged_run, population):
+        store, archive, _ = damaged_run
+        path = next(iter(archive.entries(population.name)))
+        _flip_events_key_quote(path)
+        report = fsck(store, archive)
+        findings = report.findings_of(FsckKind.ARCHIVE_DAMAGE)
+        assert [f.domain for f in findings] == [path.stem]
+        assert not report.ok
+
     def test_report_json_is_machine_readable(self, damaged_run, population):
         store, archive, _ = damaged_run
         _, domain, os_name = _first_active_visit(store, population.name)
@@ -226,6 +246,27 @@ class TestTieredRepair:
         store.commit()
         path = archive.path_for(population.name, os_name, domain)
         path.write_text(path.read_text()[: path.stat().st_size // 2])
+        revisit = population_revisiter(population, store, archive)
+        report = fsck(store, archive, repair=True, revisit=revisit)
+        assert report.ok
+        assert "revisit" in {f.repair_tier for f in report.findings}
+        assert fsck(store, archive).clean
+        assert campaign_digest(store, population.name) == campaign_digest(
+            clean_store, population.name
+        )
+
+    def test_revisit_tier_when_events_key_is_undecodable(
+        self, damaged_run, clean_run, population
+    ):
+        store, archive, _ = damaged_run
+        clean_store, _, _ = clean_run
+        _, domain, os_name = _first_active_visit(store, population.name)
+        store.connection.execute(
+            "UPDATE visits SET rank = rank + 1 WHERE domain = ? AND os_name = ?",
+            (domain, os_name),
+        )
+        store.commit()
+        _flip_events_key_quote(archive.path_for(population.name, os_name, domain))
         revisit = population_revisiter(population, store, archive)
         report = fsck(store, archive, repair=True, revisit=revisit)
         assert report.ok
