@@ -85,7 +85,10 @@ def test_streaming_matches_buffered_per_site(tmp_path):
         streamed = stream_archive.write_buffered(
             "bench", "windows", website.domain, record.netlog, meta=meta
         )
+        assert stream_archive.flush() == 0  # the document is in place
         assert batch.read_bytes() == streamed.read_bytes()
+    stream_archive.close()
+    batch_archive.close()
     assert sites > 0 and compared > 0  # the diff was not vacuous
     write_artifact(
         "pipeline-invariance.json",

@@ -1180,6 +1180,7 @@ def _cmd_fsck(
     as_json: bool = False,
     jobs: int | None = None,
 ) -> int:
+    import contextlib
     import json
     import os
     import sqlite3
@@ -1200,7 +1201,10 @@ def _cmd_fsck(
     except sqlite3.DatabaseError as exc:
         print(f"error: not a telemetry database: {db}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    with store:
+    # Closing the archive reaps the writer process a re-visit starts.
+    with store, (
+        contextlib.closing(archive) if archive else contextlib.nullcontext()
+    ):
         revisit: Revisiter | None = None
         if repair and population_name is not None:
             revisit = population_revisiter(

@@ -41,6 +41,9 @@ class Locality(enum.Enum):
 #: consulting DNS, so the paper counts them as localhost activity directly.
 _LOOPBACK_NAMES = frozenset({"localhost", "localhost.localdomain"})
 
+#: First characters an IP literal without a colon can start with.
+_IP_LITERAL_STARTS = frozenset("0123456789[")
+
 _PRIVATE_V4_NETWORKS = (
     ipaddress.ip_network("10.0.0.0/8"),
     ipaddress.ip_network("172.16.0.0/12"),
@@ -82,6 +85,11 @@ def classify_host(host: str) -> Locality:
     name = host.strip().rstrip(".").lower()
     if name in _LOOPBACK_NAMES or name.endswith(".localhost"):
         return Locality.LOCALHOST
+    # A name that cannot be an IP literal skips ``ipaddress``, which
+    # raises and catches a ValueError for every domain: IPv4 literals
+    # start with an ASCII digit, IPv6 ones need a colon or brackets.
+    if name[:1] not in _IP_LITERAL_STARTS and ":" not in name:
+        return Locality.PUBLIC
     ip = parse_ip(name)
     if ip is None:
         return Locality.PUBLIC

@@ -40,7 +40,7 @@ from ..faults.injector import (
     StorageWriteError,
 )
 from ..faults.plan import FaultPlan
-from ..netlog.archive import NetLogArchive
+from ..netlog.archive import ArchiveWriterError, NetLogArchive
 from ..storage.db import TelemetryStore
 from ..web.population import CrawlPopulation
 from .crawl import Crawler, CrawlRecord, CrawlStats
@@ -244,6 +244,25 @@ class Campaign:
             self.store.write_fault_hook = (
                 injector.storage_hook if injector is not None else None
             )
+            # The write-behind barrier: no commit may name a document the
+            # archive writer has not put in place yet.
+            self.store.before_commit = (
+                self._flush_archive if self.netlog_archive is not None else None
+            )
+        try:
+            result = self._run(population, injector, resume)
+        except BaseException:
+            self._stop_archive_writer(failed=True)
+            raise
+        self._stop_archive_writer(failed=False)
+        return result
+
+    def _run(
+        self,
+        population: CrawlPopulation,
+        injector: FaultInjector | None,
+        resume: bool,
+    ) -> CampaignResult:
         result = CampaignResult(name=population.name, oses=population.oses)
         findings: dict[str, SiteFinding] = {}
         try:
@@ -290,6 +309,38 @@ class Campaign:
         if self.store is not None:
             self.store.commit()
         return result
+
+    # -- the archive writer ------------------------------------------------
+
+    def _count_archive_failures(self, failures: int) -> None:
+        if failures:
+            self.archive_failures += failures
+            _ARCHIVE_FAILURES.inc(failures)
+
+    def _flush_archive(self) -> None:
+        """The store's ``before_commit``: wait for every sent document."""
+        assert self.netlog_archive is not None
+        self._count_archive_failures(self.netlog_archive.flush())
+
+    def _stop_archive_writer(self, *, failed: bool) -> None:
+        """Reap the archive's writer process before run() returns.
+
+        A writer that died may have lost documents sent since the last
+        commit, so the rows written since then are rolled back: a resumed
+        run re-crawls them.  On a run that already failed, the original
+        error is the one that propagates.
+        """
+        if self.store is not None:
+            self.store.before_commit = None
+        if self.netlog_archive is None:
+            return
+        try:
+            self._count_archive_failures(self.netlog_archive.close())
+        except ArchiveWriterError:
+            if self.store is not None and not self.store.closed:
+                self.store.rollback()
+            if not failed:
+                raise
 
     # -- one OS pass -------------------------------------------------------
 
@@ -569,11 +620,14 @@ class Campaign:
 
         The record carries a :class:`NetLogBuffer` — events were already
         serialised to record text while the visit ran, so archiving just
-        wraps the buffer into a document and writes it.  Disk-full faults
-        are retried under the same budget as storage writes; on exhaustion
-        the document is *dropped* (the visit row survives) and counted in
-        :attr:`archive_failures` — `repro fsck` flags the hole as a
-        missing-archive finding.
+        wraps the buffer into a document and sends it to the archive's
+        writer process.  Disk-full faults are retried under the same
+        budget as storage writes — injected ones here, real ones in the
+        writer with what is left of the budget; on exhaustion the document
+        is *dropped* (the visit row survives) and counted in
+        :attr:`archive_failures` (the writer's count arrives with the
+        next flush) — `repro fsck` flags the hole as a missing-archive
+        finding.
         """
         assert self.netlog_archive is not None and record.netlog is not None
         injector = self.last_injector
@@ -609,12 +663,12 @@ class Campaign:
                     corrupt=(
                         injector.corrupt_netlog if injector is not None else None
                     ),
+                    attempts=budget - attempts + 1,
                 )
                 return
             except OSError:
                 if attempts >= budget:
-                    self.archive_failures += 1
-                    _ARCHIVE_FAILURES.inc()
+                    self._count_archive_failures(1)
                     return
 
     def _fold(

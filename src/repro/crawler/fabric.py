@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..netlog.archive import NetLogArchive
-from ..netlog.codec import codec_for_suffix
+from ..netlog.codec import ARCHIVE_SUFFIXES
 from ..storage.db import TelemetryStore
 from ..faults.plan import FaultPlan
 from .campaign import Campaign, CampaignResult
@@ -104,7 +104,8 @@ class FabricConfig:
     chunk_size: int = 0
     retries: int = 1
     check_connectivity: bool = False
-    checkpoint_every: int = 1
+    #: Shard store commit cadence in visits (see ShardConfig).
+    checkpoint_every: int = 100
     heartbeat_interval_s: float = 0.2
     #: No heartbeat for this long (while a chunk is in flight) = stalled.
     heartbeat_timeout_s: float = 10.0
@@ -704,45 +705,49 @@ class CrawlFabric:
         """Give every shard document a name in the rollup archive.
 
         A document is hard-linked, not copied: one ``link`` is far
-        cheaper than creating and filling a file.  Shard and rollup then
-        share the inode, which is safe because no path edits a document
-        in place (writes, repairs and fault seams all replace it through
-        a temp file and a rename).  Where linking fails (another
-        filesystem, no hard-link support, link limit) the document is
-        copied to a temp name and renamed, so a merge killed mid-copy
-        never leaves a partial document behind the ``exists`` skip.
+        cheaper than creating and filling a file, and a name that already
+        exists (``FileExistsError``) is the idempotent skip — checksummed
+        duplicates are identical.  Shard and rollup then share the inode,
+        which is safe because no path edits a document in place (writes,
+        repairs and fault seams all replace it through a temp file and a
+        rename).  Where linking fails otherwise (another filesystem, no
+        hard-link support, link limit) the document is copied to a temp
+        name and renamed, so a merge killed mid-copy never leaves a
+        partial document behind the skip.
         """
         assert self.archive_root is not None
-        destination = NetLogArchive(self.archive_root)
-        made = set()  # (crawl, os) directories already created
+        crawl_dir = NetLogArchive(self.archive_root).crawl_dir(crawl)
         for shard_id in range(self.config.shards):
             shard_dir = self._archive_dir(shard_id)
-            if shard_dir is None or not os.path.isdir(shard_dir):
+            if shard_dir is None:
                 continue
-            source = NetLogArchive(shard_dir)
-            for path in source.entries(crawl):
-                os_name, domain_file = path.parts[-2], path.parts[-1]
-                codec = codec_for_suffix(path.suffix)
-                if codec is None:  # pragma: no cover - entries() filters
-                    continue
-                target = destination.path_for(
-                    crawl,
-                    os_name,
-                    domain_file[: -len(codec.suffix)],
-                    format=codec.name,
-                )
-                if target.exists():
-                    continue  # checksummed duplicates are identical
-                if target.parent not in made:
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                    made.add(target.parent)
-                try:
-                    os.link(path, target)
-                except OSError:
-                    tmp = target.with_name(target.name + ".tmp")
-                    shutil.copyfile(path, tmp)
-                    os.replace(tmp, target)
-                self.report.archive_docs_merged += 1
+            source_dir = os.path.join(shard_dir, crawl_dir.name)
+            try:
+                os_dirs = [
+                    entry.name
+                    for entry in os.scandir(source_dir)
+                    if entry.is_dir()
+                ]
+            except FileNotFoundError:
+                continue
+            for os_name in os_dirs:
+                target_dir = os.path.join(crawl_dir, os_name)
+                os.makedirs(target_dir, exist_ok=True)
+                for entry in os.scandir(os.path.join(source_dir, os_name)):
+                    if not entry.name.endswith(ARCHIVE_SUFFIXES):
+                        continue
+                    target = os.path.join(target_dir, entry.name)
+                    try:
+                        os.link(entry.path, target)
+                    except FileExistsError:
+                        continue
+                    except OSError:
+                        if os.path.exists(target):
+                            continue
+                        tmp = target + ".tmp"
+                        shutil.copyfile(entry.path, tmp)
+                        os.replace(tmp, target)
+                    self.report.archive_docs_merged += 1
 
     # -- result assembly ---------------------------------------------------
 

@@ -127,8 +127,9 @@ class ShardConfig:
     #: Store commit cadence in visits (1 = durable per visit; larger
     #: batches trade a bigger resume re-crawl window for throughput —
     #: either way the merge converges, re-crawled rows are
-    #: content-identical).
-    checkpoint_every: int = 1
+    #: content-identical).  Every commit waits for the archive writer,
+    #: so 100 — the serial ``repro study`` cadence — lets it overlap.
+    checkpoint_every: int = 100
     heartbeat_interval_s: float = 0.2
     #: Archive document encoding ("json"/"binary"; None = codec default).
     netlog_format: str | None = None

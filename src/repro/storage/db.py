@@ -19,6 +19,12 @@ The optional ``write_fault_hook`` is the ``storage.db`` fault seam: it is
 called once per visit write with the row key and may raise (the fault
 injector raises :class:`~repro.faults.StorageWriteError`) to simulate a
 failed write; the campaign layer retries around it.
+
+The optional ``before_commit`` callable runs before every commit — the
+caller's checkpoints and the ``commit_every`` batches alike.  A campaign
+with a NetLog archive sets it to the archive's flush, so a committed row
+never names a document that is not on disk yet; when it raises, the
+commit does not happen.
 """
 
 from __future__ import annotations
@@ -131,6 +137,8 @@ class TelemetryStore:
         # database — fresh, seed-era, or PR-2-era — to the current schema.
         migrate(self._conn)
         self.write_fault_hook = write_fault_hook
+        #: Runs before every commit; raising skips the commit.
+        self.before_commit: Callable[[], None] | None = None
         self.commit_every = commit_every
         self._pending_writes = 0
         self._closed = False
@@ -165,6 +173,8 @@ class TelemetryStore:
     # -- lifecycle ---------------------------------------------------------
 
     def _timed_commit(self, kind: str) -> None:
+        if self.before_commit is not None:
+            self.before_commit()
         if _COMMIT_SECONDS.enabled:
             start = time.perf_counter()
             self._retry(self._conn.commit)
@@ -188,13 +198,16 @@ class TelemetryStore:
         with self._lock:
             if self._closed:
                 return
-            if self.commit_every and self._pending_writes:
-                # Batched mode: a clean close flushes the tail batch; only
-                # a crash (process death, no close) loses pending writes.
-                self._timed_commit("batch")
+            try:
+                if self.commit_every and self._pending_writes:
+                    # Batched mode: a clean close flushes the tail batch;
+                    # only a crash (process death, no close) or a failed
+                    # ``before_commit`` loses pending writes.
+                    self._timed_commit("batch")
+            finally:
                 self._pending_writes = 0
-            self._conn.close()
-            self._closed = True
+                self._conn.close()
+                self._closed = True
 
     def __enter__(self) -> "TelemetryStore":
         return self
@@ -210,6 +223,12 @@ class TelemetryStore:
     def flush(self) -> None:
         """Commit any batched writes (drain/exit path for ``commit_every``)."""
         self.commit()
+
+    def rollback(self) -> None:
+        """Discard every write since the last commit."""
+        with self._lock:
+            self._conn.rollback()
+            self._pending_writes = 0
 
     def _wrote(self) -> None:
         """Account one write; auto-commit when the batch is full."""

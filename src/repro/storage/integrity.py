@@ -723,6 +723,9 @@ def population_revisiter(
             if webrtc_policy is not None:
                 meta["webrtc_policy"] = webrtc_policy
             archive.write_buffered(crawl, os_name, domain, record.netlog, meta=meta)
+            # The rescan verifies this document: wait until it is in place.
+            if archive.flush():
+                return False
         return True
 
     return revisit

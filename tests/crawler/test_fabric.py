@@ -209,8 +209,11 @@ def _seed_selecting_only(shard_key: str, other_keys: list[str], rate: float):
 def test_dead_shard_work_is_reassigned(spec, serial, tmp_path):
     """A shard that dies every generation is abandoned; peers finish."""
     plan = _seed_selecting_only("shard-0", ["shard-1"], rate=0.5)
+    # Per-visit commits, so the shard's rows before each death survive it
+    # (the default cadence of 100 would lose all 4).
     fabric, outcome = run_fabric(
-        spec, tmp_path, shards=2, plan=plan, max_restarts=1
+        spec, tmp_path, shards=2, plan=plan, max_restarts=1,
+        checkpoint_every=1,
     )
     assert outcome.report.dead_shards == [0]
     # The dead shard committed rows before each death; the peer re-crawled
@@ -425,7 +428,9 @@ def test_sigint_drains_children_then_resume_finishes(tmp_path):
     """SIGINT to the coordinator propagates a drain to every shard,
     shard stores are merged (the coordinator checkpoint), the exit code
     is 130, and a --resume rerun converges to the serial result."""
-    scale = 0.01
+    # 6,000 visits: with 100-visit shard commits the fabric finishes a
+    # 2,000-visit study in about the 1.2 s this test waits before SIGINT.
+    scale = 0.03
     db = str(tmp_path / "rollup.db")
     shard_dir = str(tmp_path / "shards")
     env = dict(os.environ)

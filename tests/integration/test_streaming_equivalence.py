@@ -100,6 +100,7 @@ class TestCrawlerCaptureModes:
         stream_path = stream_archive.write_buffered(
             "t", "windows", site.domain, streamed.netlog, meta=meta
         )
+        assert stream_archive.close() == 0  # the document is in place
 
         assert batch_path.read_bytes() == stream_path.read_bytes()
 

@@ -141,3 +141,25 @@ class TestArchiveWriteTiming:
         assert written.value(("json",)).count == 2
         assert written.value(("binary",)).count == 1
         assert written.value(("json",)).sum > 0
+
+    def test_campaign_write_times_come_from_the_writer(self, tmp_path):
+        """Write times ride the flush acks; each barrier wait is observed."""
+        from repro.crawler.campaign import Campaign
+        from repro.netlog import NetLogArchive
+        from repro.storage.db import TelemetryStore
+        from repro.web.population import build_top_population
+
+        registry = obs.enable()
+        archive = NetLogArchive(tmp_path / "netlogs")
+        with TelemetryStore(str(tmp_path / "crawl.db")) as store:
+            Campaign(
+                store=store, checkpoint_every=20, netlog_archive=archive
+            ).run(build_top_population(2020, scale=0.001))
+        documents = sum(1 for _ in archive.entries())
+        written = registry.get("repro_netlog_archive_write_seconds")
+        assert written.value(("json",)).count == documents > 0
+        assert 0 < written.value(("json",)).sum
+        flushed = registry.get("repro_netlog_archive_flush_seconds")
+        # One barrier per checkpoint that had documents in flight.
+        assert documents // 20 <= flushed.value().count <= documents
+        assert flushed.value().sum > 0
